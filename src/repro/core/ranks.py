@@ -11,11 +11,16 @@ import numpy as np
 
 __all__ = ["rank", "inclusion_prob"]
 
+_INF = float("inf")
+
 
 def rank(w: float, rng: np.random.Generator) -> float:
-    """Probabilistic rank ``w / u`` of an edge with weight ``w > 0``."""
-    if w <= 0:
-        raise ValueError(f"edge weight must be positive, got {w}")
+    """Probabilistic rank ``w / u`` of an edge with finite weight ``w > 0``.
+
+    A NaN or infinite rank would silently break the reservoir's heap order,
+    so such weights are rejected like non-positive ones."""
+    if not 0 < w < _INF:
+        raise ValueError(f"edge weight must be finite and positive, got {w}")
     u = 1.0 - rng.random()  # uniform in (0, 1]
     return w / u
 

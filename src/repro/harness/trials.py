@@ -1,13 +1,21 @@
 """Spark Monte-Carlo trial fan-out.
 
 The paper reports the mean of 100 independent sampling repetitions per
-setting; repetitions are embarrassingly parallel, so the harness runs them as
-a grouped ``applyInPandas`` over a DataFrame of (algo, run) tasks — one
-sequential kernel per group, stream and ground truth shipped once via a
-Spark broadcast. Metric aggregation is Spark SQL (and is cross-checked
-against the DuckDB oracle in tests).
+setting; repetitions are embarrassingly parallel. The (label, run, seed)
+trials are dealt round-robin into ``defaultParallelism`` RDD partitions, so
+each algorithm's runs spread evenly over them; each partition is one Spark
+task that runs its trials with the sequential kernel. Stream and ground
+truth are shipped via a Spark broadcast, which each task loads once.
+
+The partitions are explicit because a grouped ``applyInPandas`` ran every
+trial in one task: adaptive query execution coalesces the small shuffle
+behind the ``groupBy`` into a single partition. One trial per task is slower
+too, as every task re-loads the broadcast. Metric aggregation is Spark SQL
+(cross-checked against the DuckDB oracle in tests).
 """
 from __future__ import annotations
+
+import logging
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -18,6 +26,8 @@ from ..exact.incremental import truth_trajectory
 from .factory import make_sampler
 
 __all__ = ["run_trials", "aggregate", "trial_frame"]
+
+log = logging.getLogger(__name__)
 
 _RESULT_SCHEMA = (
     "label string, run int, are double, mare double, time_s double, final double"
@@ -62,44 +72,41 @@ def run_trials(
         }
     )
 
-    tasks = pd.DataFrame(
-        [
-            {"label": label, "run": r, "seed": seed0 + r}
-            for label, _, _ in algos
-            for r in range(n_runs)
-        ]
+    tasks = [
+        (label, r, seed0 + r) for label, _, _ in algos for r in range(n_runs)
+    ]
+    n_parts = min(len(tasks), sc.defaultParallelism)
+    parts = [tasks[i::n_parts] for i in range(n_parts)]
+    log.info(
+        "run_trials: %d trials in %d partitions (master %s, defaultParallelism %d)",
+        len(tasks), n_parts, sc.master, sc.defaultParallelism,
     )
 
-    def one_trial(pdf: pd.DataFrame) -> pd.DataFrame:
-        cfg = b.value
-        row = pdf.iloc[0]
-        label = row["label"]
-        sampler = make_sampler(
-            cfg["names"][label],
-            cfg["M"],
-            cfg["pattern"],
-            int(row["seed"]),
-            policy=cfg["policies"][label],
-            wr_ratio=cfg["wr_ratio"],
-        )
-        res = run_trial(cfg["stream"], sampler, cfg["ckpt_every"])
+    def run_part(it):
+        cfg = b.value  # one broadcast load per task
         truth = cfg["truth"]
-        return pd.DataFrame(
-            [
-                {
-                    "label": label,
-                    "run": int(row["run"]),
-                    "are": are(res["final"], float(truth[-1])),
-                    "mare": mare(res["est"], truth, cfg["mare_floor"]),
-                    "time_s": res["time_s"],
-                    "final": res["final"],
-                }
-            ]
-        )
+        for part in it:
+            for label, run, seed in part:
+                sampler = make_sampler(
+                    cfg["names"][label],
+                    cfg["M"],
+                    cfg["pattern"],
+                    seed,
+                    policy=cfg["policies"][label],
+                    wr_ratio=cfg["wr_ratio"],
+                )
+                res = run_trial(cfg["stream"], sampler, cfg["ckpt_every"])
+                yield (
+                    label,
+                    run,
+                    are(res["final"], float(truth[-1])),
+                    mare(res["est"], truth, cfg["mare_floor"]),
+                    res["time_s"],
+                    res["final"],
+                )
 
-    sdf = spark.createDataFrame(tasks)
-    # one Spark task per (label, run) group → each trial runs in parallel
-    return sdf.groupBy("label", "run").applyInPandas(one_trial, _RESULT_SCHEMA)
+    rdd = sc.parallelize(parts, n_parts).mapPartitions(run_part)
+    return spark.createDataFrame(rdd, _RESULT_SCHEMA)
 
 
 def aggregate(results: DataFrame) -> pd.DataFrame:

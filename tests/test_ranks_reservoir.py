@@ -21,6 +21,12 @@ def test_rank_rejects_nonpositive_weight():
         rank(-1.0, rng)
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 0.0])
+def test_rank_rejects_nonfinite_weight_naming_it(w):
+    with pytest.raises(ValueError, match=f"got {w}"):
+        rank(w, np.random.default_rng(0))
+
+
 def test_rank_distribution():
     """P[w/u > tau] = min(1, w/tau): check empirically."""
     rng = np.random.default_rng(1)

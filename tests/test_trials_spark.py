@@ -1,5 +1,7 @@
 """Spark Monte-Carlo fan-out tests: parity with local execution and
 oracle-checked aggregation."""
+import logging
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,7 +10,7 @@ from repro.core.runner import are, mare, run_trial
 from repro.exact.incremental import truth_trajectory
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
-from repro.harness.factory import make_sampler
+from repro.harness.factory import ALGOS_DYNAMIC, make_sampler
 from repro.harness.trials import aggregate, run_trials, trial_frame
 from repro.oracle import assert_equivalent
 from repro.rl.policy import heuristic_init_params
@@ -26,19 +28,70 @@ def setting():
 ALGOS = [("WSD-H", "WSD-H", None), ("Triest", "Triest", None), ("ThinkD", "ThinkD", None)]
 
 
+def _wsdl_policy() -> dict:
+    pol = heuristic_init_params("triangle")
+    return {"W": pol["W"], "b": pol["b"], "pattern": "triangle", "variant": "max"}
+
+
 def test_spark_trials_match_local(spark, setting):
     """Every (algo, run) trial in the fan-out must equal the same trial run
-    sequentially on the driver — full determinism across the cluster."""
+    sequentially on the driver, bit for bit — full determinism across the
+    cluster, for every algorithm of the dynamic tables."""
+    algos = [(n, n, _wsdl_policy() if n == "WSD-L" else None) for n in ALGOS_DYNAMIC]
     res = run_trials(
-        spark, setting["stream"], "triangle", setting["M"], ALGOS,
+        spark, setting["stream"], "triangle", setting["M"], algos,
         n_runs=2, ckpt_every=setting["ck"], truth=setting["truth"],
     ).toPandas()
+    assert sorted(set(res["label"])) == sorted(ALGOS_DYNAMIC)
+    policies = {label: pol for label, _, pol in algos}
     for _, row in res.iterrows():
-        sampler = make_sampler(row["label"], setting["M"], "triangle", int(row["run"]))
+        sampler = make_sampler(
+            row["label"], setting["M"], "triangle", int(row["run"]),
+            policy=policies[row["label"]],
+        )
         local = run_trial(setting["stream"], sampler, setting["ck"])
-        assert local["final"] == pytest.approx(row["final"])
-        assert are(local["final"], setting["truth"][-1]) == pytest.approx(row["are"])
-        assert mare(local["est"], setting["truth"]) == pytest.approx(row["mare"])
+        assert local["final"] == row["final"]
+        assert are(local["final"], setting["truth"][-1]) == row["are"]
+        assert mare(local["est"], setting["truth"]) == row["mare"]
+
+
+def _final_stage_tasks(sc, group: str) -> int:
+    """Task count of the last completed stage run under job group
+    ``group``: the result stage, where the trials execute."""
+    tracker = sc.statusTracker()
+    stages = {}
+    for job in tracker.getJobIdsForGroup(group):
+        for sid in tracker.getJobInfo(job).stageIds:
+            info = tracker.getStageInfo(sid)
+            if info is not None and info.numCompletedTasks > 0:
+                stages[sid] = info.numTasks
+    return stages[max(stages)]
+
+
+def test_fanout_runs_in_parallel_tasks(spark, setting, caplog):
+    """With at least ``defaultParallelism`` trials the fan-out stage must
+    run several tasks: a coalesced (serial) fan-out would run one."""
+    caplog.set_level(logging.INFO, logger="repro.harness.trials")
+    sc = spark.sparkContext
+    n_runs = -(-sc.defaultParallelism // len(ALGOS))
+    group = "test-fanout-parallel"
+    sc.setJobGroup(group, "trial fan-out parallelism")
+    try:
+        res = run_trials(
+            spark, setting["stream"], "triangle", setting["M"], ALGOS,
+            n_runs=n_runs, ckpt_every=setting["ck"], truth=setting["truth"],
+        ).toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert _final_stage_tasks(sc, group) >= sc.defaultParallelism
+    # every (label, run) exactly once
+    assert len(res) == len(ALGOS) * n_runs
+    assert set(zip(res["label"], res["run"])) == {
+        (label, r) for label, _, _ in ALGOS for r in range(n_runs)
+    }
+    # one INFO line per fan-out, none per trial
+    (msg,) = [r.getMessage() for r in caplog.records if r.name == "repro.harness.trials"]
+    assert f"{len(res)} trials in {sc.defaultParallelism} partitions" in msg
 
 
 def test_trial_frame_aggregates_all_algos(spark, setting):
@@ -72,9 +125,7 @@ def test_aggregate_matches_duckdb_oracle(spark, setting):
 
 
 def test_wsdl_runs_in_fanout_with_policy(spark, setting):
-    pol = heuristic_init_params("triangle")
-    algos = [("WSD-L", "WSD-L", {"W": pol["W"], "b": pol["b"], "pattern": "triangle", "variant": "max"}),
-             ("WSD-H", "WSD-H", None)]
+    algos = [("WSD-L", "WSD-L", _wsdl_policy()), ("WSD-H", "WSD-H", None)]
     agg = trial_frame(
         spark, setting["stream"], "triangle", setting["M"], algos,
         n_runs=2, ckpt_every=setting["ck"], truth=setting["truth"],
