@@ -9,7 +9,7 @@ comparison exercises.
 """
 from __future__ import annotations
 
-from ..core.patterns import PATTERN_EDGES, count_instances, edge_key
+from ..core.patterns import PATTERN_EDGES, adj_add, adj_remove, count_instances, edge_key
 from .random_pairing import RandomPairing
 
 __all__ = ["Triest"]
@@ -33,26 +33,12 @@ class Triest:
         adjacency must not contain ``key`` when called."""
         return count_instances(self.pattern, self.adj, key[0], key[1])
 
-    def _adj_add(self, key: tuple[int, int]) -> None:
-        u, v = key
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def _adj_remove(self, key: tuple[int, int]) -> None:
-        u, v = key
-        for a, b in ((u, v), (v, u)):
-            s = self.adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del self.adj[a]
-
     def _sample_add(self, key: tuple[int, int]) -> None:
         self.sample_count += self._count_with(key)
-        self._adj_add(key)
+        adj_add(self.adj, key[0], key[1])
 
     def _sample_remove(self, key: tuple[int, int]) -> None:
-        self._adj_remove(key)
+        adj_remove(self.adj, key[0], key[1])
         self.sample_count -= self._count_with(key)
 
     # -- stream interface --------------------------------------------------

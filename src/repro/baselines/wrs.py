@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..core.patterns import PATTERN_EDGES, edge_key, instances
+from ..core.patterns import PATTERN_EDGES, adj_add, adj_remove, edge_key, instances
 from .random_pairing import RandomPairing
 
 __all__ = ["WRS"]
@@ -40,33 +40,13 @@ class WRS:
         self.estimate = 0.0
         self.t = 0
 
-    def _adj_add(self, key: tuple[int, int]) -> None:
-        u, v = key
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def _adj_remove(self, key: tuple[int, int]) -> None:
-        u, v = key
-        for a, b in ((u, v), (v, u)):
-            s = self.adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del self.adj[a]
-
     def _instance_weight_sum(self, u: int, v: int) -> float:
         """Σ over instances of 1/P[other stored edges stored], where waiting
         room edges are stored with probability 1."""
         total = 0.0
-        rc = self.rp.capacity
-        n = self.rp.population
         for other_edges in instances(self.pattern, self.adj, u, v):
             n_res = sum(1 for k in other_edges if k not in self.waiting)
-            p = 1.0
-            for i in range(n_res):
-                if n - i > 0:
-                    p *= min(1.0, (rc - i) / (n - i))
-            total += 1.0 / max(p, 1e-300)
+            total += 1.0 / self.rp.inclusion_prob(n_res)
         return total
 
     def process(self, op: int, u: int, v: int) -> None:
@@ -77,19 +57,19 @@ class WRS:
             # admit to the waiting room; the displaced oldest edge enters the
             # reservoir's random-pairing population.
             self.waiting[key] = self.t
-            self._adj_add(key)
+            adj_add(self.adj, u, v)
             if len(self.waiting) > self.wr_cap:
                 old, _ = self.waiting.popitem(last=False)
                 decision, evicted = self.rp.on_insert(old)
                 if decision == "replace":
-                    self._adj_remove(evicted)
+                    adj_remove(self.adj, evicted[0], evicted[1])
                 if decision == "skip":
-                    self._adj_remove(old)
+                    adj_remove(self.adj, old[0], old[1])
         else:
             in_wait = key in self.waiting
             in_res = key in self.rp
             if in_wait or in_res:
-                self._adj_remove(key)
+                adj_remove(self.adj, u, v)
             if in_wait:
                 # never reached the reservoir population: no RP bookkeeping
                 del self.waiting[key]

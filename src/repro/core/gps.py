@@ -1,5 +1,6 @@
 """GPS (insertion-only weighted sampling, Section III-A) and GPS-A (the
-paper's straw-man fully-dynamic adaptation, Section III-B).
+paper's straw-man fully-dynamic adaptation, Section III-B), as WSD with a
+different deletion rule.
 
 GPS maintains the top-M edges by rank; the estimation threshold
 ``z_star = r_{M+1}`` is the largest rank ever discarded, so
@@ -9,79 +10,33 @@ Example 1 of the paper shows it is *incorrect* on fully dynamic streams.
 GPS-A handles a deletion by attaching a "DEL" tag: the edge stops forming
 subgraphs and is excluded from the estimator, but keeps occupying reservoir
 capacity until evicted by rank — the space-waste drawback WSD removes.
+
+Why WSD's insertion rule is GPS's: neither sampler here ever removes an
+edge outright (GPS rejects deletions, GPS-A only tags), so once full the
+reservoir stays full, always holds the top-M ranks, and its minimum rank
+never decreases. Every rank discarded so far is therefore at most the
+current minimum ``r_min``, so GPS's ``z* = max(z*, r_min)`` on a replacement
+is WSD's ``tau_q = tau_p = r_min``, and ``z* = max(z*, r)`` on a rejection
+is WSD's ``if r > tau_q: tau_q = r``. While the reservoir fills,
+``tau_p = 0 < r``, so every edge is admitted, as in GPS. Hence ``z_star``
+is WSD's ``tau_q``, and only ``_delete`` differs.
 """
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
 from .patterns import edge_key, instances
-from .ranks import inclusion_prob, rank
-from .reservoir import Reservoir
-from .weights import WeightContext
+from .wsd import WSD
 
 __all__ = ["GPS", "GPSA"]
 
 
-class GPS:
+class GPS(WSD):
     name = "GPS"
     supports_deletion = False
 
-    def __init__(
-        self,
-        M: int,
-        pattern: str,
-        weight_fn: Callable[[WeightContext], float],
-        seed: int = 0,
-    ) -> None:
-        self.M = M
-        self.pattern = pattern
-        self.weight_fn = weight_fn
-        self.rng = np.random.default_rng(seed)
-        self.res = Reservoir(M)
-        self.z_star = 0.0  # r_{M+1}: largest discarded rank
-        self.estimate = 0.0
-        self.t = 0
-
-    def _contribution(self, inst: list[tuple[tuple[int, int], ...]]) -> float:
-        z = self.z_star
-        recs = self.res.records
-        total = 0.0
-        for other_edges in inst:
-            p = 1.0
-            for k in other_edges:
-                p *= inclusion_prob(recs[k].weight, z)
-            total += 1.0 / p
-        return total
-
-    def process(self, op: int, u: int, v: int) -> None:
-        self.t += 1
-        if op > 0:
-            self._insert(u, v)
-        else:
-            self._delete(u, v)
-
-    def _insert(self, u: int, v: int) -> None:
-        key = edge_key(u, v)
-        res = self.res
-        if key in res:
-            return
-        inst = list(instances(self.pattern, res.adj, u, v))
-        if inst:
-            self.estimate += self._contribution(inst)
-        w = self.weight_fn(WeightContext(u, v, self.t, self.pattern, inst, res))
-        r = rank(w, self.rng)
-        if not res.full:
-            res.add(key, w, r, self.t)
-        else:
-            _, mrec = res.min_entry()
-            if r > mrec.rank:
-                res.pop_min()
-                res.add(key, w, r, self.t)
-                self.z_star = max(self.z_star, mrec.rank)
-            else:
-                self.z_star = max(self.z_star, r)
+    @property
+    def z_star(self) -> float:
+        """r_{M+1}, the largest discarded rank (Eq. 1); equals ``tau_q``."""
+        return self.tau_q
 
     def _delete(self, u: int, v: int) -> None:
         raise NotImplementedError(
@@ -96,8 +51,7 @@ class GPSA(GPS):
     def _delete(self, u: int, v: int) -> None:
         key = edge_key(u, v)
         res = self.res
-        rec = res.records.get(key)
-        if rec is not None and not rec.tagged:
+        if key in res:
             res.tag(key)  # leaves the zombie occupying capacity
         inst = list(instances(self.pattern, res.adj, u, v))
         if inst:

@@ -9,6 +9,10 @@ before enumeration on deletion — matching Algorithm 2's
 ``instances`` yields, per instance, the tuple of the *other* ``|H| - 1`` edge
 keys (canonical ``(min, max)`` vertex pairs). Supported patterns and their
 edge counts |H| (Section V-A): wedge (2), triangle (3), 4-clique (6).
+
+``adj_add`` / ``adj_remove`` maintain that adjacency format for every
+sampler and the exact counter: a vertex key is present iff it has at least
+one neighbour.
 """
 from __future__ import annotations
 
@@ -16,12 +20,36 @@ from typing import Iterator
 
 PATTERN_EDGES = {"wedge": 2, "triangle": 3, "4clique": 6}
 
-__all__ = ["PATTERN_EDGES", "edge_key", "instances", "count_instances"]
+__all__ = [
+    "PATTERN_EDGES",
+    "edge_key",
+    "adj_add",
+    "adj_remove",
+    "instances",
+    "count_instances",
+]
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical undirected edge key."""
     return (u, v) if u < v else (v, u)
+
+
+def adj_add(adj: dict[int, set[int]], u: int, v: int) -> None:
+    """Add undirected edge ``(u, v)`` to ``adj``."""
+    adj.setdefault(u, set()).add(v)
+    adj.setdefault(v, set()).add(u)
+
+
+def adj_remove(adj: dict[int, set[int]], u: int, v: int) -> None:
+    """Remove undirected edge ``(u, v)`` from ``adj`` (a no-op if absent),
+    deleting a vertex key once its last neighbour is gone."""
+    for a, b in ((u, v), (v, u)):
+        s = adj.get(a)
+        if s is not None:
+            s.discard(b)
+            if not s:
+                del adj[a]
 
 
 def instances(

@@ -31,7 +31,8 @@ __all__ = ["WSD"]
 
 
 class WSD:
-    """WSD sampler + estimator. ``weight_fn`` distinguishes WSD-H / WSD-L."""
+    """WSD sampler + estimator. ``weight_fn`` distinguishes WSD-H / WSD-L;
+    GPS and GPS-A (``core/gps.py``) subclass it and override ``_delete``."""
 
     name = "WSD"
 

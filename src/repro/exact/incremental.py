@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.patterns import count_instances, edge_key
+from ..core.patterns import adj_add, adj_remove, count_instances, edge_key
 
 __all__ = ["ExactCounter", "truth_trajectory", "checkpoints"]
 
@@ -37,8 +37,7 @@ class ExactCounter:
         if b in self.adj.get(a, ()):  # infeasible duplicate; defensive
             return
         self.count += count_instances(self.pattern, self.adj, a, b)
-        self.adj.setdefault(a, set()).add(b)
-        self.adj.setdefault(b, set()).add(a)
+        adj_add(self.adj, a, b)
         self.n_edges += 1
 
     def delete(self, u: int, v: int) -> None:
@@ -46,11 +45,7 @@ class ExactCounter:
         s = self.adj.get(a)
         if s is None or b not in s:  # infeasible; defensive
             return
-        for x, y in ((a, b), (b, a)):
-            t = self.adj[x]
-            t.discard(y)
-            if not t:
-                del self.adj[x]
+        adj_remove(self.adj, a, b)
         self.count -= count_instances(self.pattern, self.adj, a, b)
         self.n_edges -= 1
 

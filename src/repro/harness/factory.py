@@ -12,7 +12,7 @@ from ..baselines.thinkd import ThinkD
 from ..baselines.triest import Triest
 from ..baselines.wrs import WRS
 from ..core.gps import GPS, GPSA
-from ..core.weights import heuristic_weight, uniform_weight
+from ..core.weights import heuristic_weight
 from ..core.wsd import WSD
 from ..rl.policy import LearnedPolicy
 
@@ -45,8 +45,6 @@ def make_sampler(
         return WSD(M, pattern, policy.as_weight_fn(), seed)
     if name == "WSD-H":
         return WSD(M, pattern, heuristic_weight, seed)
-    if name == "WSD-U":
-        return WSD(M, pattern, uniform_weight, seed)
     if name == "GPS":
         return GPS(M, pattern, heuristic_weight, seed)
     if name == "GPS-A":

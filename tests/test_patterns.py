@@ -4,7 +4,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.core.patterns import PATTERN_EDGES, count_instances, edge_key, instances
+from repro.core.patterns import (
+    PATTERN_EDGES,
+    adj_add,
+    adj_remove,
+    count_instances,
+    edge_key,
+    instances,
+)
 
 PATTERNS = sorted(PATTERN_EDGES)
 
@@ -106,6 +113,35 @@ def test_4clique_simple():
 def test_edge_key_canonical():
     assert edge_key(5, 2) == (2, 5)
     assert edge_key(2, 5) == (2, 5)
+
+
+def test_adj_add_remove_round_trip_leaves_empty():
+    adj = {}
+    for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]:
+        adj_add(adj, u, v)
+    assert adj == {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}}
+    for u, v in [(1, 0), (2, 1), (0, 2), (3, 2)]:
+        adj_remove(adj, u, v)
+    assert adj == {}
+
+
+def test_adj_remove_absent_edge_is_noop():
+    adj = {}
+    adj_add(adj, 0, 1)
+    adj_remove(adj, 0, 2)
+    adj_remove(adj, 5, 6)
+    assert adj == {0: {1}, 1: {0}}
+
+
+def test_adj_remove_last_neighbour_deletes_vertex():
+    """A vertex key exists only while it has a neighbour: ``Reservoir.degree``
+    and GPS-A's zombie check (``v not in adj.get(u, set())``) rely on it."""
+    adj = {}
+    adj_add(adj, 0, 1)
+    adj_add(adj, 1, 2)
+    adj_remove(adj, 0, 1)
+    assert 0 not in adj
+    assert adj == {1: {2}, 2: {1}}
 
 
 def test_unknown_pattern_raises():

@@ -100,11 +100,17 @@ def test_near_unbiased_insertion_only(weight_fn):
     assert abs(rel) < max(0.05, 4 * sem), f"bias {rel:.3f} too large"
 
 
-def test_near_unbiased_light_deletion():
+@pytest.mark.parametrize(
+    "scenario,kw",
+    [("light", {"beta_l": 0.2}), ("massive", {"alpha": 1e-3, "beta_m": 0.5})],
+    ids=["light", "massive"],
+)
+def test_near_unbiased_under_deletion(scenario, kw):
     edges = generate("soc-TX", scale=0.1)
-    stream = make_stream(edges, "light", beta_l=0.2, seed=4)
+    stream = make_stream(edges, scenario, seed=4, **kw)
+    assert (stream["op"] < 0).any()
     _, truth = truth_trajectory(stream, "triangle", 10**9)
-    ests = [_run(WSD(150, "triangle", uniform_weight, s), stream).estimate for s in range(120)]
+    ests = [_run(WSD(150, "triangle", heuristic_weight, s), stream).estimate for s in range(120)]
     rel = (np.mean(ests) - truth[-1]) / truth[-1]
     sem = np.std(ests) / np.sqrt(len(ests)) / truth[-1]
     assert abs(rel) < max(0.06, 4 * sem), f"bias {rel:.3f} too large"
