@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Assemble EXPERIMENTS.md from the artifacts in ``results/`` plus the
 paper's published numbers, so paper-vs-measured can be diffed table by
-table. Re-run after ``pytest benchmarks/ --benchmark-only`` to refresh."""
+table. Sections and titles follow ``repro.harness.tables.TABLES``. Re-run
+after ``python jobs/run_tables.py`` (or ``pytest benchmarks/
+--benchmark-only``) to refresh."""
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+
+from repro.harness.tables import TABLES
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -130,27 +134,12 @@ Paper Table XIII (ablation, ARE% of triangles):
 | light | web-GL | **0.063** | 0.045 | 0.069 |""",
 }
 
-TITLES = {
-    "table01": "Table I — dataset statistics",
-    "table02": "Table II — wedges, massive deletion",
-    "table03": "Table III — triangles, massive deletion",
-    "table04": "Table IV — training time, massive",
-    "table05": "Table V — transferability, massive",
-    "table06": "Table VI — insertion-only (triangles, cit-PT)",
-    "table07": "Table VII — 4-cliques, massive deletion",
-    "table08": "Table VIII — wedges, light deletion",
-    "table09": "Table IX — triangles, light deletion",
-    "table10": "Table X — 4-cliques, light deletion",
-    "table11": "Table XI — training time, light",
-    "table12": "Table XII — transferability, light",
-    "table13": "Table XIII — ablation Max vs Avg",
-}
-
 HEADER = """\
 # EXPERIMENTS — paper numbers vs measured
 
-Generated by ``python jobs/build_experiments.py`` from ``results/`` (which
-``pytest benchmarks/ --benchmark-only`` regenerates). All measured numbers
+Generated by ``python jobs/build_experiments.py`` from ``results/``, one
+section per entry of the table registry ``repro.harness.tables.TABLES``
+(``python jobs/run_tables.py`` regenerates the artifacts). All measured numbers
 are means over 12 sampling repetitions at the reduced scale documented in
 DESIGN.md §4 (graphs ~5–25k edges, M = 5% of |E| — 15% for 4-cliques — α=3e-4,
 β_m=0.5, β_l=0.2); the paper uses 100 repetitions on graphs of 2.99M–265M
@@ -181,22 +170,18 @@ def _read(name: str) -> str | None:
 
 def main() -> None:
     parts = [HEADER]
-    for key in sorted(TITLES):
-        parts.append(f"\n## {TITLES[key]}\n")
+    for key, table in TABLES.items():
+        parts.append(f"\n## {table.title}\n")
         paper = PAPER.get(key)
         if paper:
             parts.append(paper + "\n")
-        ours = []
-        for suffix in ("", "_are", "_mare", "_time_s", "_tidy"):
-            if suffix == "_tidy" and ours:
-                break  # prefer pivots; tidy only as fallback
-            t = _read(f"{key}{suffix}")
-            if t:
-                ours.append(t)
+        # the paper-layout pivots; the tidy frame for tables without any
+        artifacts = [f"{key}_{m}" for m in table.metrics] or [f"{key}_tidy"]
+        ours = [t for t in map(_read, artifacts) if t]
         if ours:
             parts.append("\nMeasured:\n\n" + "\n\n".join(ours) + "\n")
         else:
-            parts.append("\n*(no measured artifact found — run the benches)*\n")
+            parts.append("\n*(no measured artifact found — run `python jobs/run_tables.py`)*\n")
         note = NOTES.get(key)
         if note:
             parts.append(f"\n**Shape check.** {note}\n")

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from _common import config_from, get_spark, make_parser
+from run_tables import config_from, get_spark, make_parser
 
 import numpy as np
 
@@ -18,12 +18,12 @@ from repro.graphs.streams import make_stream
 from repro.streaming.windowed import run_streaming_estimate
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = make_parser(__doc__)
     ap.add_argument("--dataset", default="cit-PT")
     ap.add_argument("--pattern", default="triangle")
     ap.add_argument("--windows", type=int, default=20)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     cfg = config_from(args)
     spark = get_spark("streaming-demo")
 

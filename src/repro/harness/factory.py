@@ -6,8 +6,6 @@ GPS, as the paper notes).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..baselines.thinkd import ThinkD
 from ..baselines.triest import Triest
 from ..baselines.wrs import WRS
@@ -32,16 +30,12 @@ def make_sampler(
     wr_ratio: float = 0.1,
 ):
     """Instantiate algorithm ``name``. ``policy`` (a LearnedPolicy or its
-    raw param dict, for Spark-closure friendliness) is required for WSD-L."""
+    ``to_dict()`` form, for Spark-closure friendliness) is required for WSD-L."""
     if name == "WSD-L":
         if policy is None:
             raise ValueError("WSD-L requires a trained policy")
         if isinstance(policy, dict):
-            policy = LearnedPolicy(
-                {"W": np.asarray(policy["W"]), "b": np.asarray(policy["b"])},
-                pattern=policy.get("pattern", pattern),
-                variant=policy.get("variant", "max"),
-            )
+            policy = LearnedPolicy.from_dict(policy)
         return WSD(M, pattern, policy.as_weight_fn(), seed)
     if name == "WSD-H":
         return WSD(M, pattern, heuristic_weight, seed)

@@ -12,7 +12,6 @@ wall-time is recorded for Tables IV / XI.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,7 +193,7 @@ def _validate(
 
 
 def policy_path(cache_dir: str | Path, dataset: str, scenario: str, pattern: str, variant: str) -> Path:
-    return Path(cache_dir) / f"{dataset}_{scenario}_{pattern}_{variant}.npz"
+    return Path(cache_dir) / f"{dataset}_{scenario}_{pattern}_{variant}.json"
 
 
 def get_or_train_policy(
@@ -206,15 +205,20 @@ def get_or_train_policy(
     variant: str = "max",
 ) -> tuple[LearnedPolicy, dict]:
     """Load a cached policy or train and cache one. ``info['train_time_s']``
-    is persisted alongside so Tables IV/XI can report cached timings."""
+    is stored in the same file so Tables IV/XI can report cached timings.
+
+    A cache entry that cannot be read, or holds another pattern or variant,
+    raises ``ValueError`` naming the file: retraining it silently would
+    change the published tables."""
     path = policy_path(cache_dir, dataset, scenario, pattern, variant)
-    meta = path.with_suffix(".json")
     if path.exists():
-        info = json.loads(meta.read_text()) if meta.exists() else {"train_time_s": None}
-        info["cached"] = True
-        return LearnedPolicy.load(path), info
+        policy, info = LearnedPolicy.load(path)
+        if (policy.pattern, policy.variant) != (pattern, variant):
+            raise ValueError(
+                f"policy file {path} holds a {policy.pattern}/{policy.variant} policy, "
+                f"not {pattern}/{variant}"
+            )
+        return policy, {**info, "cached": True}
     policy, info = train_policy(dataset, scenario, pattern, cfg, variant)
-    policy.save(path)
-    meta.write_text(json.dumps({k: v for k, v in info.items() if k != "episode_returns"}))
-    info["cached"] = False
-    return policy, info
+    policy.save(path, {k: v for k, v in info.items() if k != "episode_returns"})
+    return policy, {**info, "cached": False}

@@ -22,8 +22,13 @@ def streams():
     return {
         "insertion-only": make_stream(edges, "insertion-only"),
         "light": make_stream(edges, "light", beta_l=0.2, seed=1),
-        "massive": make_stream(edges, "massive", alpha=1e-3, beta_m=0.5, seed=2),
+        # seed 4 draws massive-deletion events (493 deletions); seed 2 drew none
+        "massive": make_stream(edges, "massive", alpha=1e-3, beta_m=0.5, seed=4),
     }
+
+
+def test_massive_fixture_has_deletions(streams):
+    assert (streams["massive"]["op"] < 0).any()
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +52,7 @@ def test_sample_bounded(algo, scenario, streams):
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("scenario", ["insertion-only", "light"])
+@pytest.mark.parametrize("scenario", ["insertion-only", "light", "massive"])
 def test_near_unbiased(algo, scenario, streams, truths):
     T = truths[scenario]
     ests = [_run(algo(150, "triangle", s), streams[scenario]).estimate for s in range(100)]

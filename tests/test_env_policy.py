@@ -1,14 +1,20 @@
-"""MDP environment (Eqs. 19–26) and learned-policy tests."""
+"""MDP environment (Eqs. 19–26), learned-policy and policy-cache tests."""
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.patterns import PATTERN_EDGES
 from repro.core.weights import heuristic_weight
 from repro.core.wsd import WSD
 from repro.graphs.generators import generate
 from repro.graphs.streams import make_stream
 from repro.rl.env import WSDEnv
 from repro.rl.policy import LearnedPolicy, heuristic_init_params
-from repro.rl.train import TrainConfig, get_or_train_policy, train_policy
+from repro.rl import train
+from repro.rl.train import TrainConfig, get_or_train_policy, policy_path, train_policy
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +88,13 @@ def test_policy_heuristic_init_equals_wsdh(stream):
 
 def test_policy_save_load_roundtrip(tmp_path):
     pol = LearnedPolicy(heuristic_init_params("wedge"), "wedge", variant="avg")
-    p = tmp_path / "pol.npz"
-    pol.save(p)
-    back = LearnedPolicy.load(p)
+    p = tmp_path / "pol.json"
+    pol.save(p, {"selected": 2})
+    back, info = LearnedPolicy.load(p)
     assert back.pattern == "wedge" and back.variant == "avg"
+    assert info == {"selected": 2}
     np.testing.assert_array_equal(back.params["W"], pol.params["W"])
+    np.testing.assert_array_equal(back.params["b"], pol.params["b"])
 
 
 def test_policy_shape_validation():
@@ -121,3 +129,41 @@ def test_get_or_train_policy_caches(tmp_path):
     assert i2["cached"]
     np.testing.assert_array_equal(p1.params["W"], p2.params["W"])
     assert i2["train_time_s"] is not None
+
+
+COMMITTED = sorted((Path(__file__).resolve().parent.parent / "results" / "policies").iterdir())
+
+
+def test_committed_cache_is_one_json_per_policy():
+    assert len(COMMITTED) == 37
+    assert {p.suffix for p in COMMITTED} == {".json"}
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+def test_committed_policy_loads(path):
+    policy, info = LearnedPolicy.load(path)
+    assert path.stem.endswith(f"_{policy.pattern}_{policy.variant}")
+    assert policy.params["W"].shape == (1, PATTERN_EDGES[policy.pattern] + 3)
+    assert info["train_time_s"] > 0 and 0 <= info["selected"] < len(info["val_scores"])
+
+
+TRIANGLE = {"pattern": "triangle", "variant": "max", "W": [[9.0, 0, 0, 0, 0, 0]], "b": [0.0], "info": {}}
+BAD_ENTRIES = {
+    "corrupt": json.dumps(TRIANGLE)[:40],
+    "wrong-shape": json.dumps({**TRIANGLE, "W": [[9.0, 0, 0, 0, 0]]}),
+    "other-variant": json.dumps({**TRIANGLE, "variant": "avg"}),
+    "other-pattern": json.dumps({**TRIANGLE, "pattern": "wedge", "W": [[9.0, 0, 0, 0, 0]]}),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_ENTRIES)
+def test_bad_cache_entry_raises_naming_file(tmp_path, monkeypatch, kind):
+    path = policy_path(tmp_path, "soc-TX", "light", "triangle", "max")
+    path.write_text(BAD_ENTRIES[kind])
+
+    def no_training(*a, **k):
+        raise AssertionError("a bad cache entry must not be retrained")
+
+    monkeypatch.setattr(train, "train_policy", no_training)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        get_or_train_policy(tmp_path, "soc-TX", "light", "triangle", TINY)
